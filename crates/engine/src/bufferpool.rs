@@ -2,12 +2,18 @@
 //! cache that sits beneath it.
 //!
 //! `shared_buffers` sets the pool's frame count; pages missing from the pool
-//! may still hit the OS cache (tracked at 128 kB chunk granularity — the OS
-//! reads ahead, so chunk-level residency is the honest model) before paying
-//! for a disk read. Dirty frames evicted by a backend incur a foreground
-//! write, which is what the background writer exists to prevent.
+//! may still hit the OS cache (tracked at 32 kB, 4-page chunk granularity —
+//! the OS reads ahead, so chunk-level residency is the honest model) before
+//! paying for a disk read. Dirty frames evicted by a backend incur a
+//! foreground write, which is what the background writer exists to prevent.
+//!
+//! Dirty state lives in a bitset, one bit per frame, beside the frames
+//! rather than in them: the cleaners (`backend_flush_after`, the background
+//! writer, checkpoints) ask for the next dirty frames from the clock hand,
+//! and a word-at-a-time scan skips 64 clean frames per step instead of
+//! visiting each one.
 
-use std::collections::HashMap;
+use crate::fxhash::FxHashMap;
 
 /// Identifies an 8 kB page: table id in the high bits, page number below.
 pub type PageId = u64;
@@ -33,14 +39,16 @@ pub enum Access {
 struct Frame {
     page: PageId,
     referenced: bool,
-    dirty: bool,
 }
 
 /// Clock buffer pool over 8 kB frames.
 #[derive(Debug)]
 pub struct BufferPool {
     frames: Vec<Frame>,
-    map: HashMap<PageId, u32>,
+    /// Bit `i % 64` of word `i / 64` is set iff frame `i` is dirty; bits
+    /// past the last frame stay clear.
+    dirty_bits: Vec<u64>,
+    map: FxHashMap<PageId, u32>,
     capacity: usize,
     hand: usize,
     dirty_count: usize,
@@ -50,11 +58,15 @@ impl BufferPool {
     /// Creates a pool with `capacity` frames (>= 16, like PostgreSQL).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(16);
+        // Grow lazily: most runs touch far fewer pages than the
+        // configured capacity, and evaluations are frequent.
+        let initial = capacity.min(4_096);
+        let mut map = FxHashMap::default();
+        map.reserve(initial);
         BufferPool {
-            // Grow lazily: most runs touch far fewer pages than the
-            // configured capacity, and evaluations are frequent.
-            frames: Vec::with_capacity(capacity.min(4_096)),
-            map: HashMap::with_capacity(capacity.min(4_096)),
+            frames: Vec::with_capacity(initial),
+            dirty_bits: Vec::with_capacity(initial.div_ceil(64)),
+            map,
             capacity,
             hand: 0,
             dirty_count: 0,
@@ -76,33 +88,49 @@ impl BufferPool {
         self.dirty_count
     }
 
+    fn is_dirty(&self, slot: usize) -> bool {
+        self.dirty_bits[slot / 64] & (1 << (slot % 64)) != 0
+    }
+
+    fn set_dirty(&mut self, slot: usize) {
+        self.dirty_bits[slot / 64] |= 1 << (slot % 64);
+    }
+
+    fn clear_dirty(&mut self, slot: usize) {
+        self.dirty_bits[slot / 64] &= !(1 << (slot % 64));
+    }
+
     /// Accesses `page`, faulting it in on a miss; `write` marks it dirty.
     pub fn access(&mut self, page: PageId, write: bool) -> Access {
         if let Some(&slot) = self.map.get(&page) {
-            let f = &mut self.frames[slot as usize];
-            f.referenced = true;
-            if write && !f.dirty {
-                f.dirty = true;
+            let slot = slot as usize;
+            self.frames[slot].referenced = true;
+            if write && !self.is_dirty(slot) {
+                self.set_dirty(slot);
                 self.dirty_count += 1;
             }
             return Access::Hit;
         }
         let mut dirty_eviction = false;
         let slot = if self.frames.len() < self.capacity {
-            self.frames.push(Frame { page, referenced: true, dirty: write });
+            if self.frames.len().is_multiple_of(64) {
+                self.dirty_bits.push(0);
+            }
+            self.frames.push(Frame { page, referenced: true });
             self.frames.len() - 1
         } else {
             let victim = self.run_clock();
-            let old = self.frames[victim];
-            self.map.remove(&old.page);
-            if old.dirty {
+            self.map.remove(&self.frames[victim].page);
+            if self.is_dirty(victim) {
                 dirty_eviction = true;
+                self.clear_dirty(victim);
                 self.dirty_count -= 1;
             }
-            self.frames[victim] = Frame { page, referenced: true, dirty: write };
+            self.frames[victim] = Frame { page, referenced: true };
             victim
         };
         if write {
+            self.set_dirty(slot);
             self.dirty_count += 1;
         }
         self.map.insert(page, slot as u32);
@@ -130,23 +158,42 @@ impl BufferPool {
         if self.dirty_count == 0 || max_pages == 0 {
             return 0;
         }
-        let mut written = 0;
         // Sweep from the clock hand — the same order eviction would find
-        // them, which is exactly the LRU-ish set the bgwriter targets.
+        // them, which is exactly the LRU-ish set the bgwriter targets:
+        // `[hand, n)` first, then wrap round to `[0, hand)`.
         let n = self.frames.len();
-        for i in 0..n {
-            if written >= max_pages {
-                break;
-            }
-            let idx = (self.hand + i) % n;
-            let f = &mut self.frames[idx];
-            if f.dirty {
-                f.dirty = false;
-                written += 1;
-            }
+        let mut written = self.clean_range(self.hand, n, max_pages);
+        if written < max_pages {
+            written += self.clean_range(0, self.hand, max_pages - written);
         }
         self.dirty_count -= written;
         written
+    }
+
+    /// Clears up to `budget` dirty bits among frames `lo..hi`, lowest
+    /// first; returns how many it cleared.
+    fn clean_range(&mut self, lo: usize, hi: usize, budget: usize) -> usize {
+        let mut left = budget;
+        let mut i = lo;
+        while i < hi && left > 0 {
+            let w = i / 64;
+            let end = (hi - w * 64).min(64);
+            let upto = if end == 64 { u64::MAX } else { (1 << end) - 1 };
+            let mut bits = self.dirty_bits[w] & upto & (u64::MAX << (i % 64));
+            let found = bits.count_ones() as usize;
+            if found <= left {
+                self.dirty_bits[w] &= !bits;
+                left -= found;
+            } else {
+                for _ in 0..left {
+                    self.dirty_bits[w] &= !(1 << bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+                left = 0;
+            }
+            i = (w + 1) * 64;
+        }
+        budget - left
     }
 }
 
@@ -192,6 +239,83 @@ impl OsCache {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// Reference model: the pool as it was before the dirty bitset, with a
+    /// dirty flag per frame and a frame-by-frame cleaning sweep from the
+    /// clock hand. The real pool must be observably identical to it.
+    struct SweepPool {
+        frames: Vec<(PageId, bool, bool)>, // (page, referenced, dirty)
+        map: HashMap<PageId, usize>,
+        capacity: usize,
+        hand: usize,
+        dirty_count: usize,
+    }
+
+    impl SweepPool {
+        fn new(capacity: usize) -> Self {
+            let capacity = capacity.max(16);
+            SweepPool { frames: Vec::new(), map: HashMap::new(), capacity, hand: 0, dirty_count: 0 }
+        }
+
+        fn access(&mut self, page: PageId, write: bool) -> Access {
+            if let Some(&slot) = self.map.get(&page) {
+                let f = &mut self.frames[slot];
+                f.1 = true;
+                if write && !f.2 {
+                    f.2 = true;
+                    self.dirty_count += 1;
+                }
+                return Access::Hit;
+            }
+            let mut dirty_eviction = false;
+            let slot = if self.frames.len() < self.capacity {
+                self.frames.push((page, true, write));
+                self.frames.len() - 1
+            } else {
+                let victim = loop {
+                    let f = &mut self.frames[self.hand];
+                    let at = self.hand;
+                    self.hand = (self.hand + 1) % self.capacity;
+                    if f.1 {
+                        f.1 = false;
+                    } else {
+                        break at;
+                    }
+                };
+                let old = self.frames[victim];
+                self.map.remove(&old.0);
+                if old.2 {
+                    dirty_eviction = true;
+                    self.dirty_count -= 1;
+                }
+                self.frames[victim] = (page, true, write);
+                victim
+            };
+            if write {
+                self.dirty_count += 1;
+            }
+            self.map.insert(page, slot);
+            Access::Miss { dirty_eviction }
+        }
+
+        fn clean_dirty(&mut self, max_pages: usize) -> usize {
+            let n = self.frames.len();
+            let mut written = 0;
+            for i in 0..n {
+                if written >= max_pages {
+                    break;
+                }
+                let f = &mut self.frames[(self.hand + i) % n];
+                if f.2 {
+                    f.2 = false;
+                    written += 1;
+                }
+            }
+            self.dirty_count -= written;
+            written
+        }
+    }
 
     #[test]
     fn hits_after_fault() {
@@ -244,6 +368,47 @@ mod tests {
             Access::Hit => panic!("expected miss"),
         }
         assert_eq!(bp.dirty(), 15);
+    }
+
+    #[test]
+    fn evicting_a_dirty_frame_clears_its_dirty_bit() {
+        let mut bp = BufferPool::new(16);
+        for i in 0..16 {
+            bp.access(page_id(0, i), true);
+        }
+        // Clear every reference bit so the clock evicts frame 0 next.
+        bp.access(page_id(0, 100), false);
+        assert_eq!(bp.dirty(), 15);
+        // The clean page now in the victim's frame must not be counted,
+        // or written, as dirty.
+        assert_eq!(bp.access(page_id(0, 100), false), Access::Hit);
+        assert_eq!(bp.clean_dirty(usize::MAX), 15);
+        assert_eq!(bp.dirty(), 0);
+        // With every bit clear, the next evictions are all clean.
+        for i in 200..216 {
+            assert_eq!(bp.access(page_id(0, i), false), Access::Miss { dirty_eviction: false });
+        }
+    }
+
+    #[test]
+    fn clean_dirty_starts_at_the_clock_hand_and_wraps() {
+        let mut bp = BufferPool::new(130);
+        for i in 0..130 {
+            bp.access(page_id(0, i), true);
+        }
+        // Evict two frames: the hand now sits past frame 1 and frames 0
+        // and 1 hold clean pages.
+        bp.access(page_id(1, 0), false);
+        bp.access(page_id(1, 1), false);
+        assert_eq!(bp.dirty(), 128);
+        // The first 128 cleaned are frames 2..130; nothing is left to
+        // wrap round to.
+        assert_eq!(bp.clean_dirty(127), 127);
+        assert_eq!(bp.clean_dirty(10), 1);
+        assert_eq!(bp.dirty(), 0);
+        // Dirty frames before the hand are reached by wrapping round.
+        bp.access(page_id(1, 0), true);
+        assert_eq!(bp.clean_dirty(5), 1);
     }
 
     #[test]
@@ -304,6 +469,30 @@ mod tests {
                 prop_assert!(bp.resident() <= bp.capacity());
                 prop_assert!(bp.dirty() <= bp.resident());
                 prop_assert_eq!(bp.access(page_id(0, page), false), Access::Hit);
+            }
+        }
+
+        /// The bitset pool agrees with the sweep-based reference model on
+        /// every access outcome, cleaned count, dirty and resident count,
+        /// over random access / clean sequences on small pools (capacities
+        /// straddle the 64-frame word boundary).
+        #[test]
+        fn matches_sweep_reference_model(
+            cap in 16usize..150,
+            ops in proptest::collection::vec((0u8..10, 0u64..300, 0usize..80), 1..600),
+        ) {
+            let mut bp = BufferPool::new(cap);
+            let mut model = SweepPool::new(cap);
+            for (kind, page, k) in ops {
+                if kind < 8 {
+                    let pid = page_id((page % 3) as u32, page);
+                    let write = kind % 2 == 0;
+                    prop_assert_eq!(bp.access(pid, write), model.access(pid, write));
+                } else {
+                    prop_assert_eq!(bp.clean_dirty(k), model.clean_dirty(k));
+                }
+                prop_assert_eq!(bp.dirty(), model.dirty_count);
+                prop_assert_eq!(bp.resident(), model.frames.len());
             }
         }
     }

@@ -17,7 +17,7 @@ use llamatune_space::{ConfigSpace, KnobAssignment};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Options controlling one simulated workload run.
 #[derive(Debug, Clone)]
@@ -135,7 +135,9 @@ struct Dbms<'a> {
     wal: WalState,
     locks: LockTable,
     tables: Vec<TableVacState>,
-    zipf: HashMap<(u64, u64), Zipfian>,
+    /// Zipfian samplers per table, keyed by the skew's bit pattern;
+    /// built once here so sampling a key never hashes.
+    zipf: Vec<Vec<(u64, Zipfian)>>,
     rng: StdRng,
 
     // Daemon state.
@@ -214,13 +216,14 @@ impl<'a> Dbms<'a> {
         total_db_pages: u64,
         opts: &RunOptions,
     ) -> Dbms<'a> {
-        let mut zipf = HashMap::new();
+        let mut zipf: Vec<Vec<(u64, Zipfian)>> = vec![Vec::new(); eff_rows.len()];
         for t in &spec.txns {
             for op in &t.ops {
                 if let Some((table, KeyDist::Zipfian(theta))) = op_dist(op) {
-                    let rows = eff_rows[table];
-                    zipf.entry((rows, theta.to_bits()))
-                        .or_insert_with(|| Zipfian::new(rows, theta));
+                    let samplers = &mut zipf[table];
+                    if !samplers.iter().any(|(bits, _)| *bits == theta.to_bits()) {
+                        samplers.push((theta.to_bits(), Zipfian::new(eff_rows[table], theta)));
+                    }
                 }
             }
         }
@@ -311,7 +314,10 @@ impl<'a> Dbms<'a> {
                 self.rng.random_range(0..hot)
             }
             KeyDist::Zipfian(theta) => {
-                let z = &self.zipf[&(rows, theta.to_bits())];
+                let (_, z) = self.zipf[table]
+                    .iter()
+                    .find(|(bits, _)| *bits == theta.to_bits())
+                    .expect("a sampler is built for every zipfian op");
                 let rank = z.sample(&mut self.rng);
                 // Scatter hot ranks across the key space, YCSB-style.
                 splitmix64(rank) % rows
@@ -924,9 +930,7 @@ pub fn run_workload(
     }
 
     let elapsed_s = (end - warmup_end) as f64 / 1e6;
-    let p50 = latencies.percentile(50.0).unwrap_or(0.0);
-    let p95 = latencies.percentile(95.0).unwrap_or(0.0);
-    let p99 = latencies.percentile(99.0).unwrap_or(0.0);
+    let [p50, p95, p99] = latencies.into_percentiles([50.0, 95.0, 99.0]).unwrap_or([0.0; 3]);
     let metrics = db.finalize_metrics(elapsed_s, p50);
     RunResult {
         crashed: false,

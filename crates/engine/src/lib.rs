@@ -34,6 +34,7 @@
 
 pub mod bufferpool;
 pub mod db;
+pub mod fxhash;
 pub mod hardware;
 pub mod knobs;
 pub mod locks;

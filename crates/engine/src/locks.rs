@@ -7,8 +7,8 @@
 //! stores *release times*: a later transaction that touches a locked key
 //! simply waits until the earlier holder's commit time.
 
+use crate::fxhash::FxHashMap;
 use crate::sim::Micros;
-use std::collections::HashMap;
 
 /// A lockable row address.
 pub type LockKey = (u32, u64);
@@ -27,7 +27,7 @@ pub struct LockGrant {
 /// Lock table mapping keys to the time their current holder releases them.
 #[derive(Debug, Default)]
 pub struct LockTable {
-    release_at: HashMap<LockKey, Micros>,
+    release_at: FxHashMap<LockKey, Micros>,
     /// Total waits observed (for metrics).
     pub waits: u64,
     pub wait_time_us: u64,

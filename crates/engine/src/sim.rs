@@ -14,6 +14,10 @@ pub type Micros = u64;
 /// One virtual second.
 pub const SECOND: Micros = 1_000_000;
 
+/// Slots in a [`ResourceMeter`]'s bucket ring: 4 trailing buckets of
+/// utilization window plus the reservation horizon ahead of the clock.
+const RING: usize = 16;
+
 /// A multi-server resource (CPU cores, SSD channels) with utilization-based
 /// queueing.
 #[derive(Debug, Clone)]
@@ -23,9 +27,9 @@ pub struct ResourceMeter {
     /// Bucket width in microseconds.
     bucket_us: Micros,
     /// Busy microseconds per bucket (may include reserved future load).
-    /// Bucket `b` lives at slot `b % ring.len()`; slots are recycled as the
+    /// Bucket `b` lives at slot `b % RING`; slots are recycled as the
     /// clock advances.
-    ring: Vec<f64>,
+    ring: [f64; RING],
     /// Most recent bucket the meter has advanced to.
     current_bucket: u64,
     /// Exponent of the queueing-delay curve: higher values delay the onset
@@ -44,23 +48,22 @@ impl ResourceMeter {
         ResourceMeter {
             servers,
             bucket_us,
-            ring: vec![0.0; 16],
+            ring: [0.0; RING],
             current_bucket: 0,
             contention_exp,
             total_busy: 0.0,
         }
     }
 
-    fn advance(&mut self, now: Micros) {
-        let bucket = now / self.bucket_us;
-        let len = self.ring.len();
+    /// Moves the clock forward to `bucket` (never back).
+    fn advance(&mut self, bucket: u64) {
         while self.current_bucket < bucket {
             self.current_bucket += 1;
             // The bucket that just became reachable as the farthest future
             // slot still holds data from one ring-length ago; clear it.
             // (Its previous occupant, bucket current-5, is already outside
             // the 4-bucket utilization window, so nothing live is lost.)
-            let stale = (self.current_bucket as usize + len - 5) % len;
+            let stale = (self.current_bucket as usize + RING - 5) % RING;
             self.ring[stale] = 0.0;
         }
     }
@@ -73,16 +76,19 @@ impl ResourceMeter {
             }
         } else {
             let ahead = (bucket - self.current_bucket) as usize;
-            if ahead >= self.ring.len() - 4 {
+            if ahead >= RING - 4 {
                 return None; // beyond the reservation horizon
             }
         }
-        Some(bucket as usize % self.ring.len())
+        Some(bucket as usize % RING)
     }
 
     /// Trailing utilization over the (up to) 4 most recent buckets.
     pub fn utilization(&self, now: Micros) -> f64 {
-        let bucket = now / self.bucket_us;
+        self.utilization_at(now / self.bucket_us)
+    }
+
+    fn utilization_at(&self, bucket: u64) -> f64 {
         let mut busy = 0.0;
         let mut counted = 0u32;
         for b in bucket.saturating_sub(3)..=bucket {
@@ -106,11 +112,12 @@ impl ResourceMeter {
     /// to the oldest bucket still in the window.
     pub fn request(&mut self, now: Micros, service_us: f64) -> f64 {
         debug_assert!(service_us >= 0.0);
-        self.advance(now);
-        let rho = self.utilization(now).min(0.98);
+        let bucket = now / self.bucket_us;
+        self.advance(bucket);
+        let rho = self.utilization_at(bucket).min(0.98);
         let queue_factor = rho.powf(self.contention_exp) / (1.0 - rho);
-        let bucket = (now / self.bucket_us).max(self.current_bucket.saturating_sub(3));
-        let slot = self.slot_for(bucket).expect("clamped bucket is always in the window");
+        let charged = bucket.max(self.current_bucket.saturating_sub(3));
+        let slot = self.slot_for(charged).expect("clamped bucket is always in the window");
         self.ring[slot] += service_us;
         self.total_busy += service_us;
         service_us * (1.0 + queue_factor.min(40.0))
@@ -120,16 +127,20 @@ impl ResourceMeter {
     /// `[start, start + duration_us)`. Background load raises utilization
     /// seen by foreground requests but has no latency of its own.
     pub fn add_background(&mut self, start: Micros, total_service_us: f64, duration_us: Micros) {
-        self.advance(start);
-        let duration = duration_us.max(self.bucket_us);
         let first = start / self.bucket_us;
+        self.advance(first);
+        let duration = duration_us.max(self.bucket_us);
         let last = (start + duration) / self.bucket_us;
         let n = (last - first + 1) as f64;
         let per_bucket = total_service_us / n;
-        for b in first..=last {
-            if let Some(slot) = self.slot_for(b) {
-                self.ring[slot] += per_bucket;
-            }
+        // Only buckets inside the meter's window are kept (`slot_for`):
+        // at most 3 behind the clock, and short of the reservation
+        // horizon ahead. The rest of a long reservation is dropped, so
+        // visit only the buckets that land.
+        let lo = first.max(self.current_bucket.saturating_sub(3));
+        let hi = last.min(self.current_bucket + RING as u64 - 5);
+        for b in lo..=hi {
+            self.ring[b as usize % RING] += per_bucket;
         }
         self.total_busy += total_service_us;
     }
@@ -189,12 +200,15 @@ impl LatencyReservoir {
         self.seen
     }
 
-    /// Percentile estimate (q in `[0, 100]`); `None` when empty.
-    pub fn percentile(&self, q: f64) -> Option<f64> {
+    /// Percentile estimates for each `q` in `qs` (in `[0, 100]`), from
+    /// one sort of the retained samples; `None` when empty. Consumes the
+    /// reservoir, which is only read once a run is over.
+    pub fn into_percentiles<const N: usize>(mut self, qs: [f64; N]) -> Option<[f64; N]> {
         if self.samples.is_empty() {
             return None;
         }
-        Some(llamatune_math::percentile(&self.samples, q))
+        self.samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN latency sample"));
+        Some(qs.map(|q| llamatune_math::stats::percentile_sorted(&self.samples, q)))
     }
 }
 
@@ -254,7 +268,7 @@ mod tests {
         m.request(0, 10_000.0);
         assert!(m.utilization(1_000) > 0.2);
         // 10 buckets later the old busy time is out of the window.
-        m.advance(100_000);
+        m.advance(10); // 100 ms at 10 ms buckets
         assert!(m.utilization(100_000) < 0.01);
     }
 
@@ -273,9 +287,8 @@ mod tests {
             r.record(i as f64);
         }
         assert_eq!(r.count(), 100);
-        let p50 = r.percentile(50.0).unwrap();
+        let [p50, p95] = r.into_percentiles([50.0, 95.0]).unwrap();
         assert!((p50 - 50.5).abs() < 1.0, "p50 {p50}");
-        let p95 = r.percentile(95.0).unwrap();
         assert!((p95 - 95.0).abs() < 1.5, "p95 {p95}");
     }
 
@@ -286,13 +299,13 @@ mod tests {
             r.record((i % 1000) as f64);
         }
         assert_eq!(r.count(), 50_000);
-        let p50 = r.percentile(50.0).unwrap();
+        let [p50] = r.into_percentiles([50.0]).unwrap();
         assert!((p50 - 500.0).abs() < 80.0, "p50 {p50}");
     }
 
     #[test]
     fn empty_reservoir_has_no_percentile() {
         let r = LatencyReservoir::new(8, 1);
-        assert!(r.percentile(95.0).is_none());
+        assert!(r.into_percentiles([95.0]).is_none());
     }
 }

@@ -3,8 +3,8 @@
 //! `commit_delay`, `commit_siblings`, and `synchronous_commit` act on.
 
 use crate::bufferpool::PageId;
+use crate::fxhash::FxHashSet;
 use crate::sim::Micros;
-use std::collections::HashSet;
 
 /// Outcome of appending WAL for one page modification.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,7 +41,7 @@ pub struct WalState {
     /// Bytes appended since the last checkpoint (drives max_wal_size).
     bytes_since_checkpoint: u64,
     /// Pages already carrying a full-page image this checkpoint cycle.
-    fpw_done: HashSet<PageId>,
+    fpw_done: FxHashSet<PageId>,
 
     // Group-commit epoch: the flush currently scheduled.
     epoch_flush_start: Micros,
@@ -79,7 +79,7 @@ impl WalState {
             fsync_us,
             unflushed_bytes: 0,
             bytes_since_checkpoint: 0,
-            fpw_done: HashSet::new(),
+            fpw_done: FxHashSet::default(),
             epoch_flush_start: 0,
             epoch_flush_end: 0,
             total_bytes: 0,

@@ -117,7 +117,8 @@ fn zeta(n: u64, theta: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     n: u64,
-    theta: f64,
+    /// `1 + 0.5^theta`: the `u * zetan` below which rank 1 is drawn.
+    rank1_bound: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
@@ -136,7 +137,7 @@ impl Zipfian {
         let zeta2 = zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        Zipfian { n, theta, alpha, zetan, eta }
+        Zipfian { n, rank1_bound: 1.0 + 0.5_f64.powf(theta), alpha, zetan, eta }
     }
 
     /// Number of items.
@@ -151,7 +152,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5_f64.powf(self.theta) {
+        if uz < self.rank1_bound {
             return 1;
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
