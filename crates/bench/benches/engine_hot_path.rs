@@ -237,7 +237,7 @@ fn component_rows(reps: usize) -> Vec<ComponentRow> {
             }
             r
         },
-        |r| black_box(r.into_percentiles([50.0, 95.0, 99.0])),
+        |mut r| black_box(r.percentiles([50.0, 95.0, 99.0])),
     );
     rows.push(ComponentRow { component: "reservoir_p50_p95_p99", n: 1, batch_us });
 

@@ -54,23 +54,42 @@ pub struct BufferPool {
     dirty_count: usize,
 }
 
+/// The heap allocations behind a [`BufferPool`], handed from a finished
+/// pool ([`BufferPool::into_storage`]) to a new one
+/// ([`BufferPool::with_storage`]) so that back-to-back runs reuse them.
+#[derive(Debug, Default)]
+pub struct PoolStorage {
+    frames: Vec<Frame>,
+    dirty_bits: Vec<u64>,
+    map: FxHashMap<PageId, u32>,
+}
+
 impl BufferPool {
     /// Creates a pool with `capacity` frames (>= 16, like PostgreSQL).
     pub fn new(capacity: usize) -> Self {
+        Self::with_storage(capacity, PoolStorage::default())
+    }
+
+    /// Creates an empty pool, exactly like [`BufferPool::new`], on the
+    /// allocations of an earlier pool.
+    pub fn with_storage(capacity: usize, storage: PoolStorage) -> Self {
         let capacity = capacity.max(16);
+        let PoolStorage { mut frames, mut dirty_bits, mut map } = storage;
+        frames.clear();
+        dirty_bits.clear();
+        map.clear();
         // Grow lazily: most runs touch far fewer pages than the
         // configured capacity, and evaluations are frequent.
         let initial = capacity.min(4_096);
-        let mut map = FxHashMap::default();
+        frames.reserve(initial);
+        dirty_bits.reserve(initial.div_ceil(64));
         map.reserve(initial);
-        BufferPool {
-            frames: Vec::with_capacity(initial),
-            dirty_bits: Vec::with_capacity(initial.div_ceil(64)),
-            map,
-            capacity,
-            hand: 0,
-            dirty_count: 0,
-        }
+        BufferPool { frames, dirty_bits, map, capacity, hand: 0, dirty_count: 0 }
+    }
+
+    /// Gives up the pool's allocations for [`BufferPool::with_storage`].
+    pub fn into_storage(self) -> PoolStorage {
+        PoolStorage { frames: self.frames, dirty_bits: self.dirty_bits, map: self.map }
     }
 
     /// Number of frames currently holding pages.
@@ -217,9 +236,20 @@ pub const OS_CACHE_EFFECTIVE_FRAC: f64 = 0.45;
 impl OsCache {
     /// Creates a cache over `bytes` of free memory.
     pub fn new(bytes: u64) -> Self {
+        Self::with_storage(bytes, PoolStorage::default())
+    }
+
+    /// Creates an empty cache, exactly like [`OsCache::new`], on the
+    /// allocations of an earlier one.
+    pub fn with_storage(bytes: u64, storage: PoolStorage) -> Self {
         let effective = (bytes as f64 * OS_CACHE_EFFECTIVE_FRAC) as u64;
         let chunks = (effective / (CHUNK_PAGES * 8 * 1024)).max(16);
-        OsCache { pool: BufferPool::new(chunks as usize) }
+        OsCache { pool: BufferPool::with_storage(chunks as usize, storage) }
+    }
+
+    /// Gives up the cache's allocations for [`OsCache::with_storage`].
+    pub fn into_storage(self) -> PoolStorage {
+        self.pool.into_storage()
     }
 
     /// Whether the chunk containing `page` is resident; touches it in
@@ -469,6 +499,33 @@ mod tests {
                 prop_assert!(bp.resident() <= bp.capacity());
                 prop_assert!(bp.dirty() <= bp.resident());
                 prop_assert_eq!(bp.access(page_id(0, page), false), Access::Hit);
+            }
+        }
+
+        /// A pool on the storage of a used one (another capacity, dirty
+        /// frames, a moved clock hand) behaves exactly like a new pool.
+        #[test]
+        fn recycled_storage_behaves_like_new(
+            used_cap in 16usize..150,
+            cap in 16usize..150,
+            used in proptest::collection::vec((0u64..300, any::<bool>()), 0..400),
+            ops in proptest::collection::vec((0u8..10, 0u64..300, 0usize..80), 1..400),
+        ) {
+            let mut old = BufferPool::new(used_cap);
+            for (page, write) in used {
+                old.access(page_id(1, page), write);
+            }
+            let mut bp = BufferPool::with_storage(cap, old.into_storage());
+            let mut fresh = BufferPool::new(cap);
+            prop_assert_eq!((bp.resident(), bp.dirty(), bp.capacity()), (0, 0, fresh.capacity()));
+            for (kind, page, k) in ops {
+                if kind < 8 {
+                    let pid = page_id(1, page);
+                    prop_assert_eq!(bp.access(pid, kind % 2 == 0), fresh.access(pid, kind % 2 == 0));
+                } else {
+                    prop_assert_eq!(bp.clean_dirty(k), fresh.clean_dirty(k));
+                }
+                prop_assert_eq!((bp.resident(), bp.dirty()), (fresh.resident(), fresh.dirty()));
             }
         }
 

@@ -2,7 +2,8 @@
 //! writer, autovacuum, lock manager, and planner together and executes a
 //! workload against them on a virtual clock.
 
-use crate::bufferpool::{page_id, Access, BufferPool, OsCache};
+use crate::bufferpool::{page_id, Access, BufferPool, OsCache, PageId, PoolStorage};
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::hardware::HardwareProfile;
 use crate::knobs::{DbmsKnobs, SyncCommit};
 use crate::locks::{LockKey, LockTable};
@@ -18,6 +19,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Options controlling one simulated workload run.
 #[derive(Debug, Clone)]
@@ -155,21 +157,28 @@ struct Dbms<'a> {
 }
 
 impl<'a> Dbms<'a> {
-    fn new(knobs: DbmsKnobs, spec: &'a WorkloadSpec, opts: &RunOptions) -> Dbms<'a> {
+    fn new(
+        knobs: DbmsKnobs,
+        spec: &'a WorkloadSpec,
+        opts: &RunOptions,
+        spare: SpareStorage,
+    ) -> Dbms<'a> {
         let hw = opts.hardware.clone();
         let ms = opts.memory_scale.max(1.0);
-        let bp = BufferPool::new((knobs.shared_buffers_pages as f64 / ms) as usize);
+        let bp =
+            BufferPool::with_storage((knobs.shared_buffers_pages as f64 / ms) as usize, spare.bp);
         let db_bytes = (spec.total_bytes() as f64 / ms) as u64;
         let pg_bytes = knobs.memory_footprint_bytes(opts.clients);
         let os_free = hw.ram_bytes.saturating_sub(pg_bytes + hw.os_reserved_bytes).max(256 << 20);
-        let os = OsCache::new((os_free as f64 / ms) as u64);
+        let os = OsCache::with_storage((os_free as f64 / ms) as u64, spare.os);
         let fsync_us = if knobs.fsync { hw.disk_fsync_us * knobs.wal_sync_cost_mult } else { 30.0 };
         let wal = WalState::new(
             knobs.wal_buffers_pages * 8 * 1024,
             knobs.full_page_writes,
             knobs.wal_compression,
             fsync_us,
-        );
+        )
+        .with_fpw_set(spare.fpw);
         let eff_rows: Vec<u64> =
             spec.tables.iter().map(|t| ((t.rows as f64 / ms) as u64).max(64)).collect();
         let tables = spec
@@ -193,6 +202,7 @@ impl<'a> Dbms<'a> {
             bp,
             os,
             wal,
+            LockTable::with_map(spare.locks),
             tables,
             total_db_pages,
             opts,
@@ -212,6 +222,7 @@ impl<'a> Dbms<'a> {
         bp: BufferPool,
         os: OsCache,
         wal: WalState,
+        locks: LockTable,
         tables: Vec<TableVacState>,
         total_db_pages: u64,
         opts: &RunOptions,
@@ -239,7 +250,7 @@ impl<'a> Dbms<'a> {
             bp,
             os,
             wal,
-            locks: LockTable::new(),
+            locks,
             tables,
             zipf,
             rng: StdRng::seed_from_u64(opts.seed ^ 0x5EED_CAFE),
@@ -831,6 +842,44 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The large allocations of a run: buffer pool, OS cache, full-page-write
+/// set, lock table and latency samples, several MB together for a big
+/// `shared_buffers`. A finished run leaves them to the next run, on any
+/// thread.
+///
+/// Allocating and freeing them on every run costs page faults, and it
+/// makes a long-lived process's resident memory drift upward: glibc raises
+/// its mmap threshold to the largest block freed, after which blocks of
+/// that size come from arenas and stay resident, fragmented, however the
+/// runs on different threads happened to interleave. Recycled, they stay
+/// mapped at the largest size a run has needed, and nothing else grows.
+#[derive(Debug, Default)]
+struct SpareStorage {
+    bp: PoolStorage,
+    os: PoolStorage,
+    fpw: FxHashSet<PageId>,
+    locks: FxHashMap<LockKey, Micros>,
+    latencies: Vec<f64>,
+}
+
+/// Storage finished runs left behind: a run takes one (or starts empty)
+/// and returns it when done, so there is one per run that was in flight
+/// at once, up to [`spare_limit`].
+static SPARES: Mutex<Vec<SpareStorage>> = Mutex::new(Vec::new());
+
+/// The spare pool. Nothing panics while holding it, but a poisoned lock
+/// would still hold whole spares, so it is taken over.
+fn spares() -> MutexGuard<'static, Vec<SpareStorage>> {
+    SPARES.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Spares kept at most: one per core. Runs beyond that many at once free
+/// their storage instead of holding it for good.
+fn spare_limit() -> usize {
+    static LIMIT: OnceLock<usize> = OnceLock::new();
+    *LIMIT.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Runs `spec` against the simulated DBMS configured by `assignment`
 /// (resolved against `catalog` for defaults).
 pub fn run_workload(
@@ -844,7 +893,9 @@ pub fn run_workload(
     if knobs.crashes(&opts.hardware, opts.clients) {
         return RunResult::crashed();
     }
-    let mut db = Dbms::new(knobs, spec, opts);
+    let mut spare = spares().pop().unwrap_or_default();
+    let latency_buffer = std::mem::take(&mut spare.latencies);
+    let mut db = Dbms::new(knobs, spec, opts, spare);
     let mut mix_rng = StdRng::seed_from_u64(opts.seed ^ 0x00D1_CE00);
 
     let warmup_end = (opts.warmup_s * 1e6) as Micros;
@@ -865,7 +916,7 @@ pub fn run_workload(
         cumulative.iter().position(|&c| u <= c).unwrap_or(spec.txns.len() - 1)
     };
 
-    let mut latencies = LatencyReservoir::new(32_768, opts.seed ^ 0xABCD);
+    let mut latencies = LatencyReservoir::with_buffer(32_768, opts.seed ^ 0xABCD, latency_buffer);
     let mut committed = 0u64;
     let mut aborted = 0u64;
     let mut total = 0u64;
@@ -930,8 +981,19 @@ pub fn run_workload(
     }
 
     let elapsed_s = (end - warmup_end) as f64 / 1e6;
-    let [p50, p95, p99] = latencies.into_percentiles([50.0, 95.0, 99.0]).unwrap_or([0.0; 3]);
+    let [p50, p95, p99] = latencies.percentiles([50.0, 95.0, 99.0]).unwrap_or([0.0; 3]);
     let metrics = db.finalize_metrics(elapsed_s, p50);
+    let mut pool = spares();
+    if pool.len() < spare_limit() {
+        pool.push(SpareStorage {
+            bp: db.bp.into_storage(),
+            os: db.os.into_storage(),
+            fpw: db.wal.into_fpw_set(),
+            locks: db.locks.into_map(),
+            latencies: latencies.into_buffer(),
+        });
+    }
+    drop(pool);
     RunResult {
         crashed: false,
         throughput_tps: committed as f64 / elapsed_s,
@@ -1013,6 +1075,35 @@ mod tests {
         assert_eq!(a.metrics, b.metrics);
         let c = run_with(&[], 8);
         assert_ne!(a.committed, c.committed, "different seeds should differ");
+    }
+
+    /// Bit patterns of everything a run reports.
+    fn bits(r: &RunResult) -> (bool, [u64; 4], u64, u64, Vec<u64>) {
+        let lat = [r.throughput_tps, r.p50_latency_ms, r.p95_latency_ms, r.p99_latency_ms];
+        let metrics = r.metrics.iter().map(|m| m.to_bits()).collect();
+        (r.crashed, lat.map(f64::to_bits), r.committed, r.aborted, metrics)
+    }
+
+    #[test]
+    fn recycled_storage_does_not_change_a_run() {
+        // Runs share the spares of earlier runs on any thread. Whatever
+        // ran on them before, bigger or smaller, a run's result is the
+        // same bits.
+        let small = [("shared_buffers", KnobValue::Int(2_048))];
+        let large = [("shared_buffers", KnobValue::Int(131_072))];
+        let first = bits(&run_with(&small, 5));
+        run_with(&large, 9);
+        assert_eq!(bits(&run_with(&small, 5)), first);
+        let large_first = bits(&run_with(&large, 5));
+        let concurrent: Vec<_> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..4)
+                .map(|i| s.spawn(move || run_with(if i % 2 == 0 { &small } else { &large }, 5)))
+                .collect();
+            runs.into_iter().map(|t| bits(&t.join().unwrap())).collect()
+        });
+        for (i, r) in concurrent.iter().enumerate() {
+            assert_eq!(*r, if i % 2 == 0 { first.clone() } else { large_first.clone() });
+        }
     }
 
     #[test]

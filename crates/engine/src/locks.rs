@@ -41,6 +41,19 @@ impl LockTable {
         Self::default()
     }
 
+    /// Creates an empty table, exactly like [`LockTable::new`], that keeps
+    /// its keys in `map` (emptied first), typically the
+    /// [`LockTable::into_map`] of an earlier table.
+    pub fn with_map(mut map: FxHashMap<LockKey, Micros>) -> Self {
+        map.clear();
+        LockTable { release_at: map, ..Self::default() }
+    }
+
+    /// Gives up the key map for [`LockTable::with_map`].
+    pub fn into_map(self) -> FxHashMap<LockKey, Micros> {
+        self.release_at
+    }
+
     /// Attempts to acquire all `keys` at `now`. Waits for conflicting
     /// holders; if the cumulative wait would exceed `abort_after_us`
     /// (derived from `deadlock_timeout`), the transaction aborts instead.

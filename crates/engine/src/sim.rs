@@ -163,13 +163,22 @@ pub struct LatencyReservoir {
 impl LatencyReservoir {
     /// Creates a reservoir holding at most `cap` samples.
     pub fn new(cap: usize, seed: u64) -> Self {
+        Self::with_buffer(cap, seed, Vec::new())
+    }
+
+    /// Creates an empty reservoir, exactly like [`LatencyReservoir::new`],
+    /// that keeps its samples in `buffer` (emptied first), typically the
+    /// [`LatencyReservoir::into_buffer`] of an earlier one.
+    pub fn with_buffer(cap: usize, seed: u64, mut buffer: Vec<f64>) -> Self {
         assert!(cap > 0);
-        LatencyReservoir {
-            samples: Vec::with_capacity(cap.min(4096)),
-            seen: 0,
-            cap,
-            state: seed | 1,
-        }
+        buffer.clear();
+        buffer.reserve(cap.min(4096));
+        LatencyReservoir { samples: buffer, seen: 0, cap, state: seed | 1 }
+    }
+
+    /// Gives up the sample buffer for [`LatencyReservoir::with_buffer`].
+    pub fn into_buffer(self) -> Vec<f64> {
+        self.samples
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -201,13 +210,16 @@ impl LatencyReservoir {
     }
 
     /// Percentile estimates for each `q` in `qs` (in `[0, 100]`), from
-    /// one sort of the retained samples; `None` when empty. Consumes the
-    /// reservoir, which is only read once a run is over.
-    pub fn into_percentiles<const N: usize>(mut self, qs: [f64; N]) -> Option<[f64; N]> {
+    /// one sort of the retained samples; `None` when empty. The sort is in
+    /// place, so a reservoir is read this way once its run is over.
+    pub fn percentiles<const N: usize>(&mut self, qs: [f64; N]) -> Option<[f64; N]> {
         if self.samples.is_empty() {
             return None;
         }
-        self.samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN latency sample"));
+        // Unstable: no scratch buffer. Latencies are positive, so samples
+        // that compare equal have equal bits and the result is the same as
+        // a stable sort's.
+        self.samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN latency sample"));
         Some(qs.map(|q| llamatune_math::stats::percentile_sorted(&self.samples, q)))
     }
 }
@@ -287,7 +299,7 @@ mod tests {
             r.record(i as f64);
         }
         assert_eq!(r.count(), 100);
-        let [p50, p95] = r.into_percentiles([50.0, 95.0]).unwrap();
+        let [p50, p95] = r.percentiles([50.0, 95.0]).unwrap();
         assert!((p50 - 50.5).abs() < 1.0, "p50 {p50}");
         assert!((p95 - 95.0).abs() < 1.5, "p95 {p95}");
     }
@@ -299,13 +311,34 @@ mod tests {
             r.record((i % 1000) as f64);
         }
         assert_eq!(r.count(), 50_000);
-        let [p50] = r.into_percentiles([50.0]).unwrap();
+        let [p50] = r.percentiles([50.0]).unwrap();
         assert!((p50 - 500.0).abs() < 80.0, "p50 {p50}");
     }
 
     #[test]
+    fn reservoir_on_a_used_buffer_matches_a_new_one() {
+        let mut used = LatencyReservoir::new(64, 3);
+        for i in 0..1_000 {
+            used.record(f64::from(i));
+        }
+        let _ = used.percentiles([50.0]);
+        let mut recycled = LatencyReservoir::with_buffer(512, 7, used.into_buffer());
+        let mut fresh = LatencyReservoir::new(512, 7);
+        for i in 0..5_000 {
+            let x = f64::from((i * 37) % 1_001);
+            recycled.record(x);
+            fresh.record(x);
+        }
+        let qs = [50.0, 95.0, 99.0];
+        assert_eq!(
+            recycled.percentiles(qs).map(|p| p.map(f64::to_bits)),
+            fresh.percentiles(qs).map(|p| p.map(f64::to_bits))
+        );
+    }
+
+    #[test]
     fn empty_reservoir_has_no_percentile() {
-        let r = LatencyReservoir::new(8, 1);
-        assert!(r.into_percentiles([95.0]).is_none());
+        let mut r = LatencyReservoir::new(8, 1);
+        assert!(r.percentiles([95.0]).is_none());
     }
 }

@@ -91,6 +91,19 @@ impl WalState {
         }
     }
 
+    /// Keeps the full-page-write set in `set` (emptied first), typically
+    /// the [`WalState::into_fpw_set`] of an earlier run's WAL.
+    pub fn with_fpw_set(mut self, mut set: FxHashSet<PageId>) -> Self {
+        set.clear();
+        self.fpw_done = set;
+        self
+    }
+
+    /// Gives up the full-page-write set for [`WalState::with_fpw_set`].
+    pub fn into_fpw_set(self) -> FxHashSet<PageId> {
+        self.fpw_done
+    }
+
     /// Appends a record for a modification of `page`.
     pub fn append(&mut self, page: PageId) -> AppendOutcome {
         let mut bytes = RECORD_BYTES;
